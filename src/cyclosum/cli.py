@@ -10,7 +10,7 @@ from .audit import sweep
 from .bounds import predicted_tails
 from .cyclotomic import factor_xm_minus_1
 from .diagonal import GoodSolution, diagonal_instance, solve_good
-from .errors import CyclosumError
+from .errors import CyclosumError, InvalidInput
 from .gf import build_field
 from .ntheory import multiplicative_order
 from .traces import predict_trace_count, q_star, trace_profile
@@ -20,7 +20,20 @@ from .weights import certificate, compute_weight_set, minimal_vanishing_sums
 def _parse_modulus(text: str | None):
     if text is None:
         return None
-    return tuple(int(c) for c in text.split(","))
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise InvalidInput(f"--modulus needs comma separated integers, got {text!r}") from None
+
+
+def _cap_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = -1
+    if bits < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return bits
 
 
 def _emit(obj) -> None:
@@ -134,7 +147,7 @@ def _cmd_audit(args) -> int:
 
 
 def _add_cap(sub) -> None:
-    sub.add_argument("--cap", type=int, default=22, metavar="BITS",
+    sub.add_argument("--cap", type=_cap_bits, default=22, metavar="BITS",
                      help="field size cap as a power of two (default 22)")
 
 

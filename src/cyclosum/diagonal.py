@@ -79,7 +79,7 @@ def _verify_solution(inst: DiagonalInstance, values) -> None:
     if len(values) != inst.n or any(v.is_zero for v in values):
         raise InternalMismatch("solution has a zero coordinate or wrong arity")
     acc = table.zero_index
-    counts = Counter(table.pow_index(v.index, inst.d) for v in values)
+    counts = Counter(table.pow_index(v.index, inst.e) for v in values)
     for power_index, count in counts.items():
         scalar = table.index_of_poly((count % table.p,))
         acc = table.add_index(acc, table.mul_index(power_index, scalar))
@@ -91,14 +91,20 @@ def solve_good(inst: DiagonalInstance, size_cap: int = DEFAULT_SIZE_CAP) -> Good
     """Solve for an all-nonzero solution, or prove there is none.
 
     Decides membership of n in the exact weight set of the field's root
-    group; on success the certificate exponents e_i turn into coordinates
-    x_i = g**e_i, since then x_i^d runs over the matching roots of unity.
+    group; on success each certificate exponent c_i, standing for the root
+    g**(d*c_i), turns into the coordinate x_i = g**(c_i*u mod m), where
+    e = d*t and u is the inverse of t mod m.  Then x_i^e = g**(d*c_i).
     """
     ws = field_weight_set(inst.table, inst.m, size_cap)
     if not ws.contains(inst.n):
         return NoSolution(n=inst.n, weight_set=ws)
-    exponents = _certificate_exponents(ws, inst.n)
-    values = tuple(FieldElement(inst.table, e % max(inst.table.order, 1)) for e in exponents)
+    certificate = _certificate_exponents(ws, inst.n)
+    # gcd(t, m) = 1 because d = gcd(q-1, e) takes every common factor
+    u = pow(inst.e // inst.d, -1, inst.m)
+    # padding makes most exponents 0, so map each distinct one once
+    coordinate = {c: c * u % inst.m for c in set(certificate)}
+    exponents = tuple(map(coordinate.__getitem__, certificate))
+    values = tuple(FieldElement(inst.table, c) for c in exponents)
     solution = GoodSolution(values=values, exponents=exponents, d=inst.d)
     _verify_solution(inst, values)
     return solution

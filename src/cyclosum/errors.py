@@ -49,5 +49,9 @@ class PreconditionViolated(CyclosumError):
     """An operation was called outside its stated preconditions."""
 
 
+class InvalidInput(CyclosumError):
+    """A value given on the command line cannot be parsed."""
+
+
 class InternalMismatch(CyclosumError):
     """Two internally redundant computations disagree; always a bug."""

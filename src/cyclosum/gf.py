@@ -195,7 +195,8 @@ def lex_least_irreducible(p: int, k: int) -> PrimePoly:
     """Lexicographically least monic irreducible of degree k over F_p."""
     if k == 1:
         return PrimePoly.x(p)
-    for n in range(p**k):
+    # below p**(k-1) every candidate has c_0 = 0, so X divides it
+    for n in range(p ** (k - 1), p**k):
         coeffs = []
         v = n
         for _ in range(k):  # digit order makes the scan lexicographic from c_0 up

@@ -8,7 +8,10 @@ layer n contains zero, and consecutive layers differ by one vectorized
 pass over at most q index pairs.
 
 Layers are kept so that certificates (explicit vanishing sums) can be read
-back off by greedy backtracking.
+back off by greedy backtracking.  They are grown and stored only up to
+saturation, the first layer holding zero and every coset: every later
+layer equals it, so memory is O(s*d) for saturation layer s, however far
+the exploration bound reaches.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ def strip_p_part(p: int, m: int) -> int:
 
 
 class _LayerEngine:
-    """Iterated sumsets n*G over a fixed field, one coset bitset per weight."""
+    """Iterated sumsets n*G over a fixed field, one coset bitset per weight.
+
+    Layers are stored up to the saturation layer s, the first one holding
+    zero and every coset.  Every later layer equals it, since any x is
+    (x - z) + z for a root z, so layer n >= s is read from layer s.
+    """
 
     def __init__(self, table: FieldTable, m: int):
         if m < 2 or table.order % m != 0:
@@ -60,11 +68,12 @@ class _LayerEngine:
         self.zero_feed_coset = table.neg_one_exp % self.d
         self._masks: list[np.ndarray] = [np.zeros(self.d, dtype=bool)]
         self._zero: list[bool] = [True]
+        self.saturation: int | None = None
 
     def grow_to(self, n: int) -> None:
         table = self.table
         q1 = table.order
-        while len(self._masks) <= n:
+        while len(self._masks) <= n and self.saturation is None:
             cur = self._masks[-1]
             had_zero = self._zero[-1]
             cosets = np.flatnonzero(cur)
@@ -82,20 +91,19 @@ class _LayerEngine:
             if j >= 0:
                 if np.any(self._masks[j] & ~nxt) or (self._zero[j] and not self._zero[i]):
                     raise InternalMismatch(f"layer {i} does not contain layer {j}")
+            if self._zero[i] and nxt.all():
+                self.saturation = i
+
+    def _stored(self, n: int) -> int:
+        """Index of the stored layer equal to layer n."""
+        self.grow_to(n)
+        return min(n, len(self._masks) - 1)
 
     def contains_zero(self, n: int) -> bool:
-        self.grow_to(n)
-        return self._zero[n]
+        return self._zero[self._stored(n)]
 
     def mask(self, n: int) -> np.ndarray:
-        self.grow_to(n)
-        return self._masks[n]
-
-    def element_in_layer(self, n: int, index: int) -> bool:
-        self.grow_to(n)
-        if index == self.table.zero_index:
-            return self._zero[n]
-        return bool(self._masks[n][index % self.d])
+        return self._masks[self._stored(n)]
 
     def extract(self, n: int) -> list[int]:
         """Exponents e_i with sum of roots g**(d*e_i) equal to zero, n of them.
@@ -103,17 +111,20 @@ class _LayerEngine:
         Backtracks from layer n toward layer 0, preferring the least root
         exponent at each step.
         """
-        self.grow_to(n)
+        top = self._stored(n)
         table = self.table
+        zero_index, d = table.zero_index, self.d
         exps: list[int] = []
-        target = table.zero_index
+        target = zero_index
         for level in range(n, 0, -1):
+            below = min(level - 1, top)
+            layer, has_zero = self._masks[below], self._zero[below]
             for e in range(self.m):
-                rest = table.sub_index(target, int(self.exponents[e]))
-                if level == 1:
-                    ok = rest == table.zero_index
+                rest = table.sub_index(target, e * d)
+                if rest == zero_index:
+                    ok = has_zero
                 else:
-                    ok = self.element_in_layer(level - 1, rest)
+                    ok = layer[rest % d]
                 if ok:
                     exps.append(e)
                     target = rest

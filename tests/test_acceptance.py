@@ -3,7 +3,9 @@ asserted at its stated tolerance.  The default audit sweep (p <= 23,
 m <= 60, field cap 2^20, solver window 2p) runs once as a fixture.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,9 @@ SWEEP_P_MAX = 23
 SWEEP_M_MAX = 60
 SWEEP_CAP = 1 << 20
 SWEEP_TIME_LIMIT_S = 600.0
+# the default sweep's report, minus elapsed_seconds, as compact JSON with
+# sorted keys; a change that alters any figure of the report fails here
+SWEEP_SNAPSHOT = Path(__file__).parent / "data" / "sweep_default.json"
 
 GOLDEN_SETS = {
     (11, 5): ((0,), 3),
@@ -240,3 +245,11 @@ def test_criterion_10_property_suites(default_sweep):
         f"{len(oracle_pairs)} small fields, zero sweep failures",
     )
     assert ok
+
+
+def test_sweep_report_matches_frozen_snapshot(default_sweep):
+    rep, _ = default_sweep
+    got = rep.json_dict()
+    del got["elapsed_seconds"]
+    text = json.dumps(got, sort_keys=True, separators=(",", ":")) + "\n"
+    assert text == SWEEP_SNAPSHOT.read_text()

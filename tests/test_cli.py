@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cyclosum.cli import main
 
 
@@ -101,6 +103,21 @@ def test_error_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not prime" in err
+
+
+def test_negative_cap_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--p", "5", "--m", "3", "--cap", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--cap" in err and "Traceback" not in err
+
+
+def test_malformed_modulus_is_an_input_error(capsys):
+    code = main(["solve", "--q", "9", "--e", "2", "--n", "3", "--modulus", "1,x"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--modulus" in err and "Traceback" not in err
 
 
 def test_audit_command(capsys, tmp_path):

@@ -30,7 +30,7 @@ def _assert_good(inst, result):
     total = inst.table.zero()
     for v in result.values:
         assert not v.is_zero
-        total = total + v**inst.d
+        total = total + v**inst.e
     assert total.is_zero
 
 
@@ -77,6 +77,22 @@ def test_instance_on_override_modulus():
     inst = diagonal_instance(512, 7, 8, modulus=(1, 1, 0, 0, 0, 0, 0, 0, 0, 1))
     assert inst.table.modulus.coeffs == (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)
     _assert_good(inst, solve_good(inst))
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13])
+def test_solutions_vanish_for_every_degree(q):
+    # e = d*t with t != 1 mod m must still give sum x_i**e = 0, not only
+    # sum x_i**d = 0; q = 7, e = 5, n = 3 once returned 1, 1, 5
+    solved = 0
+    for e in range(1, q):
+        for n in range(1, 9):
+            inst = diagonal_instance(q, e, n)
+            result = solve_good(inst)
+            if isinstance(result, GoodSolution):
+                _assert_good(inst, result)
+                assert result.exponents == tuple(v.index for v in result.values)
+                solved += 1
+    assert solved > 0
 
 
 def test_rejects_non_prime_power():

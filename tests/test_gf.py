@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,35 @@ def test_lex_least_modulus_is_deterministic():
     assert is_irreducible(f)
     # nothing lexicographically smaller is irreducible
     assert f.coeffs == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+
+
+def _monic_products(p, a, b):
+    """Coefficients, constant first, of every product of a monic degree-a
+    and a monic degree-b polynomial over F_p."""
+    out = set()
+    for f in itertools.product(range(p), repeat=a):
+        for g in itertools.product(range(p), repeat=b):
+            prod = [0] * (a + b + 1)
+            for i, x in enumerate(f + (1,)):
+                for j, y in enumerate(g + (1,)):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [
+    (p, k) for p in (2, 3, 5, 7) for k in range(1, 13) if p**k <= 4096
+])
+def test_lex_least_irreducible_matches_brute_force(p, k):
+    reducible = set()
+    for a in range(1, k // 2 + 1):
+        reducible |= _monic_products(p, a, k - a)
+    # product() runs c_0 slowest, the scan's lexicographic order
+    least = next(
+        c + (1,) for c in itertools.product(range(p), repeat=k)
+        if c + (1,) not in reducible
+    )
+    assert lex_least_irreducible(p, k).coeffs == least
 
 
 def test_sum_of_two_and_a_square_vanishes_mod_11():

@@ -127,9 +127,36 @@ def test_layers_grow_monotonically_mod_p():
     ws = compute_weight_set(7, 19)
     engine = ws._engine
     engine.grow_to(40)
+    assert engine.saturation < 40  # the comparisons run past saturation
     for n in range(1, 34):
         assert not np.any(engine.mask(n) & ~engine.mask(n + 7))
         assert engine.contains_zero(n) <= engine.contains_zero(n + 7)
+
+
+# Recorded with the engine that grew every layer up to the bound: the
+# members below tail_start, tail_start, period and bound_B of pairs whose
+# layers saturate long before the bound (at layer 10 of 8638 and 5 of 11132).
+DEEP_SETS = {
+    (509, 17): ((0,), 7, 1, 8638),
+    (211, 53): ((0,), 5, 1, 11132),
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(DEEP_SETS))
+def test_deep_weight_sets_unchanged_by_saturation(p, m):
+    explicit, tail_start, period, bound = DEEP_SETS[(p, m)]
+    ws = compute_weight_set(p, m)
+    assert ws.json_dict() == {
+        "p": p, "m": m, "m_prime": m, "k": 2, "period": period,
+        "members_below": list(explicit) + list(range(tail_start, bound, period)),
+        "tail_start": tail_start, "bound_B": bound,
+    }
+    engine = ws._engine
+    assert engine.saturation is not None
+    assert len(engine._masks) <= engine.saturation + 1
+    top = engine.mask(engine.saturation)
+    assert top.all() and engine.contains_zero(engine.saturation)
+    assert engine.mask(bound) is top and engine.contains_zero(bound)
 
 
 def test_members_closed_under_addition():
