@@ -42,6 +42,7 @@ from .gf import (
     PrimePoly,
     RootGroup,
     build_field,
+    clear_fields,
     is_irreducible,
     lex_least_irreducible,
 )

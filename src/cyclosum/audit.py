@@ -250,7 +250,7 @@ def _oracle_membership(table: FieldTable, m: int, upto: int) -> list[bool]:
     return member
 
 
-def verify_constructive_window(table: FieldTable, window: int, size_cap: int) -> list[dict]:
+def verify_constructive_window(table: FieldTable, window: int) -> list[dict]:
     """For every admissible divisor d of q-1, solve the diagonal equation
     with all coordinates nonzero for every n in [d+1, d+1+window]."""
     q, k = table.q, table.k
@@ -264,7 +264,7 @@ def verify_constructive_window(table: FieldTable, window: int, size_cap: int) ->
         for n in range(d + 1, d + 2 + window):
             inst = DiagonalInstance(table=table, e=d, d=d, m=m, n=n)
             try:
-                result = solve_good(inst, size_cap)
+                result = solve_good(inst)
             except CyclosumError as exc:
                 ok, detail = False, f"n={n}: {exc}"
                 break
@@ -344,9 +344,8 @@ class _PairAuditor:
         )
         self.check(rec, "addition_closure", closed, "members not closed", repro)
 
-        engine = ws._engine
         stable = all(
-            engine.contains_zero(n)
+            ws.layers.contains_zero(n)
             for n in range(ws.tail_start, ws.tail_start + 2 * p + 1)
             if n % ws.period == 0 and n >= 1
         )
@@ -378,7 +377,7 @@ class _PairAuditor:
         if ws.m_prime >= 2 and p**k <= self.oracle_cap:
             self.counters["oracle_pairs"] += 1
             upto = 2 * ws.bound
-            naive = _oracle_membership(engine.table, ws.m_prime, upto)
+            naive = _oracle_membership(ws.field, ws.m_prime, upto)
             agree = all(ws.contains(n) == naive[n] for n in range(upto))
             self.check(rec, "oracle_equivalence", agree,
                        "bitset membership disagrees with the naive oracle", repro)
@@ -521,7 +520,7 @@ def sweep(
             log(f"constructive check in F_{p}^{k}")
         table = build_field(p, k, size_cap=size_cap)
         win = window if window is not None else 2 * p
-        results = verify_constructive_window(table, win, size_cap)
+        results = verify_constructive_window(table, win)
         counters["fields_checked"] += 1
         counters["divisors_checked"] += len(results)
         counters["solutions_verified"] += sum(

@@ -26,13 +26,17 @@ def _parse_modulus(text: str | None):
         raise InvalidInput(f"--modulus needs comma separated integers, got {text!r}") from None
 
 
+# the cap is the only memory guard: 2^24 elements take about 400 MB of tables
+MAX_CAP_BITS = 24
+
+
 def _cap_bits(text: str) -> int:
     try:
         bits = int(text)
     except ValueError:
         bits = -1
-    if bits < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    if not 0 <= bits <= MAX_CAP_BITS:
+        raise argparse.ArgumentTypeError(f"must be an integer 0 to {MAX_CAP_BITS}, got {text!r}")
     return bits
 
 
@@ -44,11 +48,8 @@ def _cmd_weights(args) -> int:
     cap = 1 << args.cap
     ws = compute_weight_set(args.p, args.m, cap)
     out = ws.json_dict()
-    engine = ws._engine
-    if engine is not None:
-        out["field"] = engine.table.json_dict()
-    else:
-        out["field"] = build_field(args.p, 1, size_cap=cap).json_dict()
+    field = ws.field if ws.field is not None else build_field(args.p, 1, size_cap=cap)
+    out["field"] = field.json_dict()
     if args.certificate is not None:
         cert = certificate(args.p, args.m, args.certificate, cap)
         out["certificate"] = {"n": cert.n, "exponents": list(cert.exponents)}
@@ -107,7 +108,7 @@ def _cmd_trace(args) -> int:
 def _cmd_solve(args) -> int:
     cap = 1 << args.cap
     inst = diagonal_instance(args.q, args.e, args.n, _parse_modulus(args.modulus), cap)
-    result = solve_good(inst, cap)
+    result = solve_good(inst)
     out = {
         "q": args.q,
         "e": args.e,
@@ -148,7 +149,7 @@ def _cmd_audit(args) -> int:
 
 def _add_cap(sub) -> None:
     sub.add_argument("--cap", type=_cap_bits, default=22, metavar="BITS",
-                     help="field size cap as a power of two (default 22)")
+                     help=f"field size cap as a power of two, 0 to {MAX_CAP_BITS} (default 22)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InternalMismatch, NotCoprime, NotPrime, PreconditionViolated
-from .gf import DEFAULT_SIZE_CAP, PrimePoly, build_field
+from .gf import DEFAULT_SIZE_CAP, FieldTable, PrimePoly, build_field
 from .ntheory import euler_phi, is_prime, multiplicative_order, prime_factors
 from .weights import strip_p_part
 
@@ -111,10 +110,8 @@ def cyclotomic_cosets(p: int, m: int) -> list[CyclotomicCoset]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _factor_cached(p: int, m: int, size_cap: int) -> FactorizationReport:
-    k = 1 if m == 1 else multiplicative_order(p, m)
-    table = build_field(p, k, size_cap=size_cap)
+def _factor_in(table: FieldTable, m: int) -> FactorizationReport:
+    p, k = table.p, table.k
     step = table.order // m
     factors = []
     for coset in cyclotomic_cosets(p, m):
@@ -149,7 +146,8 @@ def factor_xm_minus_1(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Facto
         _check_coprime(p, m)
     elif not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return _factor_cached(p, m, size_cap)
+    table = build_field(p, 1 if m == 1 else multiplicative_order(p, m), size_cap=size_cap)
+    return table.derived(("factor", m), lambda: _factor_in(table, m))
 
 
 def min_extension_degree(p: int, m: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InternalMismatch, NotPrime, PreconditionViolated
 from .gf import DEFAULT_SIZE_CAP, FieldElement, FieldTable, build_field
 from .ntheory import factorize
-from .weights import WeightSet, _certificate_exponents, field_weight_set
+from .weights import WeightSet, certificate_exponents, field_weight_set
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def _verify_solution(inst: DiagonalInstance, values) -> None:
         raise InternalMismatch("solution does not evaluate to zero")
 
 
-def solve_good(inst: DiagonalInstance, size_cap: int = DEFAULT_SIZE_CAP) -> GoodSolution | NoSolution:
+def solve_good(inst: DiagonalInstance) -> GoodSolution | NoSolution:
     """Solve for an all-nonzero solution, or prove there is none.
 
     Decides membership of n in the exact weight set of the field's root
@@ -95,10 +95,10 @@ def solve_good(inst: DiagonalInstance, size_cap: int = DEFAULT_SIZE_CAP) -> Good
     g**(d*c_i), turns into the coordinate x_i = g**(c_i*u mod m), where
     e = d*t and u is the inverse of t mod m.  Then x_i^e = g**(d*c_i).
     """
-    ws = field_weight_set(inst.table, inst.m, size_cap)
+    ws = field_weight_set(inst.table, inst.m)
     if not ws.contains(inst.n):
         return NoSolution(n=inst.n, weight_set=ws)
-    certificate = _certificate_exponents(ws, inst.n)
+    certificate = certificate_exponents(ws, inst.n)
     # gcd(t, m) = 1 because d = gcd(q-1, e) takes every common factor
     u = pow(inst.e // inst.d, -1, inst.m)
     # padding makes most exponents 0, so map each distinct one once
@@ -128,7 +128,7 @@ def witt_quadratic_check(
     if p == 2 or q <= 5:
         raise PreconditionViolated("need an odd prime power q > 5")
     inst = diagonal_instance(q, 2, n, modulus, size_cap)
-    result = solve_good(inst, size_cap)
+    result = solve_good(inst)
     if n >= 3 and not isinstance(result, GoodSolution):
         raise InternalMismatch("sums of >= 3 squares are always isotropic here")
     return result

@@ -11,12 +11,15 @@ Construction is deterministic: without an explicit modulus the
 lexicographically least monic irreducible polynomial is used (comparing
 coefficient tuples from the constant term up), and the generator is the
 primitive element with the least base-p integer encoding.
+
+Each field is built once per process into one registry, and what is derived
+from it (layer engines, weight sets, factorizations) hangs off its table;
+clear_fields() drops them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -235,6 +238,13 @@ class FieldTable:
         self.neg_one_exp = self.order // 2 if p != 2 else 0
         for arr in (exp, log, zech):
             arr.flags.writeable = False
+        self._derived: dict = {}
+
+    def derived(self, key, make):
+        """The object derived from this field under key, made once by make()."""
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key]
 
     # -- identity ----------------------------------------------------------
 
@@ -333,20 +343,6 @@ class FieldTable:
                 return 0
             raise DivisionByZero("negative power of zero")
         return (i * e) % self.order
-
-    def add_many(self, indices: np.ndarray, j: int) -> np.ndarray:
-        """Vectorized add_index(i, j) over an index array; j must be nonzero."""
-        if j == self.zero_index:
-            return indices.copy()
-        out = np.empty_like(indices)
-        nz = indices != self.zero_index
-        out[~nz] = j
-        i = indices[nz]
-        delta = (j - i) % self.order
-        res = (i + self.zech[delta]) % self.order
-        res[delta == self.neg_one_exp] = self.zero_index
-        out[nz] = res
-        return out
 
     # -- trace and element construction --------------------------------------
 
@@ -553,37 +549,50 @@ def _build_tables(p: int, k: int, modulus: tuple[int, ...]):
     return gen_encoding, exp.astype(np.int64), log, zech
 
 
-@lru_cache(maxsize=32)
-def _build_field_cached(p, k, modulus_coeffs, size_cap):
+# (p, k, modulus coeffs) -> table; (p, k, None) names the lex-least modulus
+_REGISTRY: dict[tuple, FieldTable] = {}
+
+
+def build_field(p: int, k: int = 1, modulus=None, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
+    """The field F_{p**k}, built on first use and then fetched from the registry.
+
+    Without a modulus the lex-least monic irreducible of degree k is used;
+    an explicit modulus is verified irreducible.  Both name the same table
+    when they agree.  size_cap is checked on every call, cached or not.
+    Results are deterministic and identical across runs.
+    """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise PreconditionViolated(f"extension degree must be >= 1, got {k}")
     if p**k > size_cap:
         raise SizeCapExceeded(f"q = {p}^{k} exceeds the size cap {size_cap}")
-    if modulus_coeffs is None:
-        modulus = lex_least_irreducible(p, k)
-    else:
-        modulus = PrimePoly(p, modulus_coeffs)
-        if modulus.degree != k or not modulus.is_monic:
-            raise OverrideNotIrreducible(
-                f"modulus must be monic of degree {k}, got {modulus}"
-            )
-        if not is_irreducible(modulus):
-            raise OverrideNotIrreducible(f"{modulus} is not irreducible mod {p}")
-    gen_encoding, exp, log, zech = _build_tables(p, k, modulus.coeffs)
-    return FieldTable(p, k, modulus, gen_encoding, exp, log, zech)
-
-
-def build_field(p: int, k: int = 1, modulus=None, size_cap: int = DEFAULT_SIZE_CAP) -> FieldTable:
-    """Construct (or fetch from cache) the field F_{p**k}.
-
-    Without a modulus the lex-least monic irreducible of degree k is used;
-    an explicit modulus is verified irreducible.  Results are deterministic
-    and identical across runs.
-    """
+    if isinstance(modulus, PrimePoly):
+        modulus = modulus.coeffs
     if modulus is not None:
-        if isinstance(modulus, PrimePoly):
-            modulus = modulus.coeffs
-        modulus = tuple(int(c) for c in modulus)
-    return _build_field_cached(p, k, modulus, size_cap)
+        modulus = PrimePoly(p, tuple(int(c) for c in modulus)).coeffs
+    key = (p, k, modulus)
+    if key not in _REGISTRY:
+        if modulus is None:
+            resolved = lex_least_irreducible(p, k)
+        else:
+            resolved = PrimePoly(p, modulus)
+            if resolved.degree != k or not resolved.is_monic:
+                raise OverrideNotIrreducible(
+                    f"modulus must be monic of degree {k}, got {resolved}"
+                )
+            if not is_irreducible(resolved):
+                raise OverrideNotIrreducible(f"{resolved} is not irreducible mod {p}")
+        full_key = (p, k, resolved.coeffs)
+        if full_key not in _REGISTRY:
+            gen_encoding, exp, log, zech = _build_tables(p, k, resolved.coeffs)
+            _REGISTRY[full_key] = FieldTable(p, k, resolved, gen_encoding, exp, log, zech)
+        _REGISTRY[key] = _REGISTRY[full_key]
+    return _REGISTRY[key]
+
+
+def clear_fields() -> None:
+    """Drop every registered field and everything derived from it."""
+    for table in _REGISTRY.values():
+        table._derived.clear()
+    _REGISTRY.clear()

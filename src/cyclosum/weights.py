@@ -12,14 +12,19 @@ back off by greedy backtracking.  They are grown and stored only up to
 saturation, the first layer holding zero and every coset: every later
 layer equals it, so memory is O(s*d) for saturation layer s, however far
 the exploration bound reaches.
+
+Each field of the gf registry holds one layer engine and one weight set per
+m, so compute_weight_set, field_weight_set and minimal_vanishing_sums read
+the same layers; a WeightSet carries them as its `field` and `layers`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +53,7 @@ def strip_p_part(p: int, m: int) -> int:
     return m
 
 
-class _LayerEngine:
+class LayerEngine:
     """Iterated sumsets n*G over a fixed field, one coset bitset per weight.
 
     Layers are stored up to the saturation layer s, the first one holding
@@ -66,16 +71,16 @@ class _LayerEngine:
         # coset whose elements are negatives of group members; adding the
         # matching root to such an element is the only way to reach zero
         self.zero_feed_coset = table.neg_one_exp % self.d
-        self._masks: list[np.ndarray] = [np.zeros(self.d, dtype=bool)]
-        self._zero: list[bool] = [True]
+        self.masks: list[np.ndarray] = [np.zeros(self.d, dtype=bool)]  # coset bitsets
+        self.zeros: list[bool] = [True]  # whether layer n holds zero
         self.saturation: int | None = None
 
     def grow_to(self, n: int) -> None:
         table = self.table
         q1 = table.order
-        while len(self._masks) <= n and self.saturation is None:
-            cur = self._masks[-1]
-            had_zero = self._zero[-1]
+        while len(self.masks) <= n and self.saturation is None:
+            cur = self.masks[-1]
+            had_zero = self.zeros[-1]
             cosets = np.flatnonzero(cur)
             nxt = np.zeros(self.d, dtype=bool)
             if cosets.size:
@@ -84,26 +89,26 @@ class _LayerEngine:
                 nxt[vals[delta != table.neg_one_exp]] = True
             if had_zero:
                 nxt[0] = True
-            self._masks.append(nxt)
-            self._zero.append(bool(cur[self.zero_feed_coset]))
-            i = len(self._masks) - 1
+            self.masks.append(nxt)
+            self.zeros.append(bool(cur[self.zero_feed_coset]))
+            i = len(self.masks) - 1
             j = i - table.p
             if j >= 0:
-                if np.any(self._masks[j] & ~nxt) or (self._zero[j] and not self._zero[i]):
+                if np.any(self.masks[j] & ~nxt) or (self.zeros[j] and not self.zeros[i]):
                     raise InternalMismatch(f"layer {i} does not contain layer {j}")
-            if self._zero[i] and nxt.all():
+            if self.zeros[i] and nxt.all():
                 self.saturation = i
 
     def _stored(self, n: int) -> int:
         """Index of the stored layer equal to layer n."""
         self.grow_to(n)
-        return min(n, len(self._masks) - 1)
+        return min(n, len(self.masks) - 1)
 
     def contains_zero(self, n: int) -> bool:
-        return self._zero[self._stored(n)]
+        return self.zeros[self._stored(n)]
 
     def mask(self, n: int) -> np.ndarray:
-        return self._masks[self._stored(n)]
+        return self.masks[self._stored(n)]
 
     def extract(self, n: int) -> list[int]:
         """Exponents e_i with sum of roots g**(d*e_i) equal to zero, n of them.
@@ -118,7 +123,7 @@ class _LayerEngine:
         target = zero_index
         for level in range(n, 0, -1):
             below = min(level - 1, top)
-            layer, has_zero = self._masks[below], self._zero[below]
+            layer, has_zero = self.masks[below], self.zeros[below]
             for e in range(self.m):
                 rest = table.sub_index(target, e * d)
                 if rest == zero_index:
@@ -151,10 +156,13 @@ class WeightSet:
     members_below: tuple[int, ...]
     tail_start: int
     bound: int
+    # where the set was computed; None for closed forms and for m' = 1
+    field: FieldTable | None = dataclasses.field(default=None, compare=False, repr=False)
+    layers: LayerEngine | None = dataclasses.field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.members_below))
-        object.__setattr__(self, "_engine", None)
+    @cached_property
+    def _members(self) -> frozenset[int]:
+        return frozenset(self.members_below)
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -204,7 +212,8 @@ def _exploration_bound(p: int, m_prime: int) -> int:
     return (p - 1) * (q_min - 1) + p + 1
 
 
-def _weight_set_on_engine(engine: _LayerEngine, p: int, m: int, m_prime: int) -> WeightSet:
+def _weight_set_on_engine(engine: LayerEngine, m: int, m_prime: int) -> WeightSet:
+    p = engine.table.p
     bound = _exploration_bound(p, m_prime)
     engine.grow_to(bound - 1)
     members = [0] + [n for n in range(1, bound) if engine.contains_zero(n)]
@@ -219,36 +228,36 @@ def _weight_set_on_engine(engine: _LayerEngine, p: int, m: int, m_prime: int) ->
         raise InternalMismatch(f"weights {missing} missing from the guaranteed tail")
     non_members = [n for n in range(bound) if n % period == 0 and n not in member_set]
     tail_start = (max(non_members) + 1) if non_members else 0
-    ws = WeightSet(
+    return WeightSet(
         p=p, m=m, m_prime=m_prime, k=engine.table.k, period=period,
         members_below=tuple(members), tail_start=tail_start, bound=bound,
+        field=engine.table, layers=engine,
     )
-    object.__setattr__(ws, "_engine", engine)
-    return ws
 
 
-@lru_cache(maxsize=64)
-def _engine_for(p, k, modulus_coeffs, m, size_cap) -> _LayerEngine:
-    return _LayerEngine(build_field(p, k, modulus_coeffs, size_cap), m)
+def _layers(table: FieldTable, m: int) -> LayerEngine:
+    """The field's one layer engine for its m-th roots."""
+    return table.derived(("layers", m), lambda: LayerEngine(table, m))
 
 
-@lru_cache(maxsize=128)
-def _compute_weight_set_cached(p, m, size_cap) -> WeightSet:
-    m_prime = strip_p_part(p, m)
-    if m_prime == 1:
-        return _p_multiple_weight_set(p, m)
-    k = multiplicative_order(p, m_prime)
-    engine = _engine_for(p, k, None, m_prime, size_cap)
-    return _weight_set_on_engine(engine, p, m, m_prime)
+def _weight_set_in(table: FieldTable, m: int, m_prime: int) -> WeightSet:
+    """The field's one weight set for m, computed on its m'-th roots."""
+    return table.derived(
+        ("weights", m), lambda: _weight_set_on_engine(_layers(table, m_prime), m, m_prime)
+    )
 
 
 def compute_weight_set(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> WeightSet:
     """Exact weight set of vanishing sums of m-th roots of unity in
     characteristic p, computed in the smallest splitting field."""
-    return _compute_weight_set_cached(p, m, size_cap)
+    m_prime = strip_p_part(p, m)
+    if m_prime == 1:
+        return _p_multiple_weight_set(p, m)
+    table = build_field(p, multiplicative_order(p, m_prime), size_cap=size_cap)
+    return _weight_set_in(table, m, m_prime)
 
 
-def field_weight_set(table: FieldTable, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> WeightSet:
+def field_weight_set(table: FieldTable, m: int) -> WeightSet:
     """Weight set computed on a caller-supplied field containing the roots.
 
     Same set as compute_weight_set, but layers (hence certificates) live in
@@ -258,31 +267,24 @@ def field_weight_set(table: FieldTable, m: int, size_cap: int = DEFAULT_SIZE_CAP
         raise DoesNotDivide(f"{m} does not divide q-1 = {table.order}")
     if m == 1:
         return _p_multiple_weight_set(table.p, 1)
-    return _field_weight_set_cached(
-        table.p, table.k, table.modulus.coeffs, m, size_cap
-    )
+    return _weight_set_in(table, m, m)
 
 
-@lru_cache(maxsize=64)
-def _field_weight_set_cached(p, k, modulus_coeffs, m, size_cap) -> WeightSet:
-    engine = _engine_for(p, k, modulus_coeffs, m, size_cap)
-    return _weight_set_on_engine(engine, p, m, m)
-
-
-def _certificate_exponents(ws: WeightSet, n: int) -> tuple[int, ...]:
+def certificate_exponents(ws: WeightSet, n: int) -> tuple[int, ...]:
+    """n exponents e_i, sorted, with the roots g**(d*e_i) of ws.field summing
+    to zero, where g is the field's generator and d = (q-1)/m'."""
     if not ws.contains(n):
         raise NotAMember(f"{n} is not in the weight set of (p={ws.p}, m={ws.m})")
     if ws.m_prime == 1:
         return (0,) * n
-    engine: _LayerEngine = ws._engine
-    if engine is None:
+    if ws.layers is None:
         raise PreconditionViolated("this weight set carries no stored layers")
     padding = 0
     if n >= ws.bound:
         # peel copies of p * 1 = 0 until the stored layers cover the rest
         padding = ws.p * ((n - ws.bound) // ws.p + 1)
         n -= padding
-    return tuple(sorted(engine.extract(n) + [0] * padding))
+    return tuple(sorted(ws.layers.extract(n) + [0] * padding))
 
 
 def _verify_vanishing(table: FieldTable, m: int, exponents) -> None:
@@ -300,30 +302,14 @@ def _verify_vanishing(table: FieldTable, m: int, exponents) -> None:
 def certificate(p: int, m: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Certificate:
     """A verified vanishing sum of weight n, extracted from stored layers."""
     ws = compute_weight_set(p, m, size_cap)
-    exps = _certificate_exponents(ws, n)
+    exps = certificate_exponents(ws, n)
     if ws.m_prime > 1:
-        _verify_vanishing(ws._engine.table, ws.m_prime, exps)
+        _verify_vanishing(ws.field, ws.m_prime, exps)
     return Certificate(p=p, m=m, n=n, exponents=exps)
 
 
 # ---------------------------------------------------------------------------
 # minimal vanishing sums
-
-def _reach_masks(table: FieldTable, exponents: np.ndarray, wmax: int) -> list[np.ndarray]:
-    """reach[w][i] iff element i is a sum of exactly w group members."""
-    reach = [np.zeros(table.q, dtype=bool)]
-    reach[0][table.zero_index] = True
-    layer = np.zeros(table.q, dtype=bool)
-    layer[table.zero_index] = True
-    for _ in range(wmax):
-        idx = np.flatnonzero(layer)
-        nxt = np.zeros(table.q, dtype=bool)
-        for e in exponents:
-            nxt[table.add_many(idx, int(e))] = True
-        reach.append(nxt)
-        layer = nxt
-    return reach
-
 
 def _canonical_rotation(exps: tuple[int, ...], m: int) -> tuple[int, ...]:
     return min(tuple(sorted((e + c) % m for e in exps)) for c in range(m))
@@ -346,12 +332,12 @@ def minimal_vanishing_sums(
         return [(0,) * p] if wmax >= p else []
     k = multiplicative_order(p, m_prime)
     table = build_field(p, k, size_cap=size_cap)
-    step = table.order // m_prime
-    exps = np.arange(m_prime, dtype=np.int64) * step
-    reach = _reach_masks(table, exps, wmax)
-    cum = [reach[0].copy()]
+    engine = _layers(table, m_prime)
+    exps = engine.exponents
+    # reach[r][c]: some sum of at most r roots lies in coset c
+    reach = [engine.mask(0)]
     for w in range(1, wmax + 1):
-        cum.append(cum[-1] | reach[w])
+        reach.append(reach[-1] | engine.mask(w))
 
     zero = table.zero_index
     found: set[tuple[int, ...]] = set()
@@ -370,7 +356,8 @@ def minimal_vanishing_sums(
                 continue
             if len(new_prefix) == wmax:
                 continue
-            if not cum[wmax - len(new_prefix)][table.neg_index(new_total)]:
+            # new_total is nonzero here, so the coset of its negative decides
+            if not reach[wmax - len(new_prefix)][table.neg_index(new_total) % engine.d]:
                 continue
             shifted = {table.add_index(t, x) for t in all_sums}
             descend(

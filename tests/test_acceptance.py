@@ -12,17 +12,10 @@ import pytest
 from cyclosum.audit import sweep
 from cyclosum.bounds import predicted_tails
 from cyclosum.cyclotomic import factor_xm_minus_1, phi_m_irreducible_mod_p
-from cyclosum.gf import _build_field_cached
+from cyclosum.gf import clear_fields
 from cyclosum.ntheory import factorize
 from cyclosum.traces import half_order_tail, predict_trace_count, trace_profile
-from cyclosum.weights import (
-    _compute_weight_set_cached,
-    _engine_for,
-    _field_weight_set_cached,
-    compute_weight_set,
-    membership,
-    minimal_vanishing_sums,
-)
+from cyclosum.weights import compute_weight_set, membership, minimal_vanishing_sums
 
 SWEEP_P_MAX = 23
 SWEEP_M_MAX = 60
@@ -67,10 +60,7 @@ def default_sweep():
 
 
 def test_criterion_1_golden_weight_sets_fast_and_exact():
-    _compute_weight_set_cached.cache_clear()
-    _field_weight_set_cached.cache_clear()
-    _engine_for.cache_clear()
-    _build_field_cached.cache_clear()
+    clear_fields()
     worst = 0.0
     for (p, m), (explicit, tail) in sorted(GOLDEN_SETS.items()):
         start = time.perf_counter()

@@ -98,7 +98,7 @@ def test_fourth_roots_mod_13_fill_the_nonzero_residues():
 
 def test_verify_constructive_on_one_field():
     table = build_field(3, 4)
-    results = verify_constructive_window(table, window=6, size_cap=1 << 16)
+    results = verify_constructive_window(table, window=6)
     assert results and all(r["ok"] for r in results)
     ds = [r["d"] for r in results]
     assert 1 in ds and all(80 % d == 0 for d in ds)

@@ -1,8 +1,30 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cyclosum.cli import main
+
+
+DATA = Path(__file__).parent / "data"
+
+# the README's command line examples other than audit, whose report is
+# guarded by sweep_default.json; each output is compared byte for byte
+README_EXAMPLES = {
+    "weights": "weights --p 11 --m 5 --certificate 3 --minimal-upto 3",
+    "factor": "factor --p 7 --m 19",
+    "bounds": "bounds --p 7 --m 19 --k 3",
+    "trace": "trace --p 3 --m 11",
+    "trace_prop65": "trace --prop65 --p 3 --q 11",
+    "solve": "solve --q 512 --e 56 --n 3 --modulus 1,1,0,0,0,0,0,0,0,1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_matches_golden_output(capsys, name):
+    code = main(README_EXAMPLES[name].split())
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / f"cli_{name}.json").read_text()
 
 
 def run(capsys, *argv):
@@ -108,6 +130,14 @@ def test_error_exit_code(capsys):
 def test_negative_cap_is_an_input_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weights", "--p", "5", "--m", "3", "--cap", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--cap" in err and "Traceback" not in err
+
+
+def test_cap_above_the_ceiling_is_an_input_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "--p", "5", "--m", "3", "--cap", "25"])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "--cap" in err and "Traceback" not in err

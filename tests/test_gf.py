@@ -146,10 +146,9 @@ def test_trace_is_linear_and_surjective(field):
     p, q = field.p, field.q
     traces = np.array([field.trace_index(i) for i in range(q)], dtype=np.int64)
     assert set(traces.tolist()) == set(range(p))
-    # additivity, exhaustive over all q^2 pairs via the vectorized adder
-    every = np.arange(q, dtype=np.int64)
-    for j in range(q - 1):
-        summed = field.add_many(every, j)
+    # additivity, exhaustive over all q^2 pairs
+    for j in range(q):
+        summed = [field.add_index(i, j) for i in range(q)]
         assert np.array_equal(traces[summed], (traces + traces[j]) % p)
     # F_p-linearity under scalar multiplication
     for c in range(p):

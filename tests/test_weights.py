@@ -103,7 +103,7 @@ def test_certificate_in_binary_field():
 def test_certificates_reevaluate_to_zero_deep_into_the_tail():
     for p, m in [(5, 3), (3, 11), (2, 5)]:
         ws = compute_weight_set(p, m)
-        F = ws._engine.table
+        F = ws.field
         zeta = F.element(F.order // ws.m_prime)
         for n in [ws.tail_start, ws.bound - 1, ws.bound + 2 * p, ws.bound + 2 * p + 1]:
             if not membership(ws, n):
@@ -125,7 +125,7 @@ def test_certificate_rejects_non_members():
 
 def test_layers_grow_monotonically_mod_p():
     ws = compute_weight_set(7, 19)
-    engine = ws._engine
+    engine = ws.layers
     engine.grow_to(40)
     assert engine.saturation < 40  # the comparisons run past saturation
     for n in range(1, 34):
@@ -151,9 +151,9 @@ def test_deep_weight_sets_unchanged_by_saturation(p, m):
         "members_below": list(explicit) + list(range(tail_start, bound, period)),
         "tail_start": tail_start, "bound_B": bound,
     }
-    engine = ws._engine
+    engine = ws.layers
     assert engine.saturation is not None
-    assert len(engine._masks) <= engine.saturation + 1
+    assert len(engine.masks) <= engine.saturation + 1
     top = engine.mask(engine.saturation)
     assert top.all() and engine.contains_zero(engine.saturation)
     assert engine.mask(bound) is top and engine.contains_zero(bound)
@@ -246,7 +246,7 @@ def test_minimal_sums_have_no_vanishing_proper_subsum():
     for p, m, wmax in [(11, 5, 4), (2, 7, 6), (3, 4, 5)]:
         sums = minimal_vanishing_sums(p, m, wmax)
         ws = compute_weight_set(p, m)
-        F = ws._engine.table
+        F = ws.field
         zeta = F.element(F.order // ws.m_prime)
         for exps in sums:
             total = F.zero()
