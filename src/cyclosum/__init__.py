@@ -40,7 +40,6 @@ from .gf import (
     FieldElement,
     FieldTable,
     PrimePoly,
-    RootGroup,
     build_field,
     clear_fields,
     is_irreducible,

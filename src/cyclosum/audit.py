@@ -20,9 +20,7 @@ from .bounds import (
     predicted_tails,
 )
 from .cyclotomic import (
-    _min_extension_degree_raw,
     factor_xm_minus_1,
-    min_extension_degree,
     phi_m_irreducible_mod_p,
 )
 from .diagonal import DiagonalInstance, GoodSolution, solve_good
@@ -164,19 +162,36 @@ class AuditReport:
         return lines
 
 
-def cauchy_davenport_check(p: int, sets) -> bool:
-    """Fold the given subsets of Z/p by sumset, verifying
-    |A + B| >= min(p, |A| + |B| - 1) at every step."""
+def _sumset_fold(p: int, sets):
+    """The sumset of the given subsets of Z/p, or None when the list or a set
+    is empty or some step breaks |A + B| >= min(p, |A| + |B| - 1)."""
     sets = [frozenset(x % p for x in s) for s in sets]
     if not sets or any(not s for s in sets):
-        return False
+        return None
     acc = sets[0]
     for nxt in sets[1:]:
         summed = {(a + b) % p for a in acc for b in nxt}
         if len(summed) < min(p, len(acc) + len(nxt) - 1):
-            return False
+            return None
         acc = summed
-    return True
+    return acc
+
+
+def cauchy_davenport_check(p: int, sets) -> bool:
+    """Fold the given subsets of Z/p by sumset, verifying
+    |A + B| >= min(p, |A| + |B| - 1) at every step."""
+    return _sumset_fold(p, sets) is not None
+
+
+def _min_extension_degree_raw(p: int, m: int) -> int:
+    """Direct scan for the least e with gcd(p**e - 1, m) > 1; the audit's
+    cross-check of cyclotomic.min_extension_degree."""
+    pe = 1
+    for e in range(1, m + 1):
+        pe = (pe * p) % m
+        if math.gcd((pe - 1) % m, m) > 1:
+            return e
+    raise AssertionError("some power of p is 1 mod a prime divisor of m")
 
 
 def _oracle_membership(table: FieldTable, m: int, upto: int) -> list[bool]:
@@ -276,13 +291,6 @@ def verify_constructive_window(table: FieldTable, window: int) -> list[dict]:
     return out
 
 
-def _prime_field_layers(p: int, base: set[int], steps: int) -> list[set[int]]:
-    layers = [set(base)]
-    for _ in range(steps - 1):
-        layers.append({(a + b) % p for a in layers[-1] for b in base})
-    return layers
-
-
 def _semigroup_below(generators, bound: int) -> set[int]:
     reachable = {0}
     for g in generators:
@@ -366,7 +374,7 @@ class _PairAuditor:
                        f"cyclosum bounds --p {p} --m {m} --k {k}")
 
         if len(factorize(m)) == 1 and phi_m_irreducible_mod_p(p, m):
-            cf = closed_form_weight_set(p, m, self.size_cap)
+            cf = closed_form_weight_set(p, m)
             self.check(rec, "closed_form_exact", cf == ws,
                        f"closed form {cf.members_below} != exact {ws.members_below}",
                        repro)
@@ -403,19 +411,17 @@ class _PairAuditor:
     def _cauchy_davenport_checks(self, rec, p, m, k, br, repro):
         if br.m0 >= 3:
             roots = {x for x in range(1, p) if pow(x, br.m0, p) == 1}
-            layers = _prime_field_layers(p, roots, br.d0 + 1)
-            ok = cauchy_davenport_check(p, [roots] * (br.d0 + 1))
-            covered = len(layers[-1]) == p
-            self.check(rec, "cauchy_davenport_roots", ok and covered,
+            total = _sumset_fold(p, [roots] * (br.d0 + 1))
+            covered = total is not None and len(total) == p
+            self.check(rec, "cauchy_davenport_roots", covered,
                        "sumset growth or coverage failed in the prime field",
                        repro)
         if br.case.gcd_class == GCD_EQ_1 and br.t is not None:
             tp = trace_profile(p, m, self.size_cap)
             n_needed = -((1 - p) // (tp.t - 1))
-            layers = _prime_field_layers(p, set(tp.trace_set), n_needed)
-            ok = cauchy_davenport_check(p, [set(tp.trace_set)] * n_needed)
-            covered = len(layers[-1]) == p
-            self.check(rec, "cauchy_davenport_traces", ok and covered,
+            total = _sumset_fold(p, [tp.trace_set] * n_needed)
+            covered = total is not None and len(total) == p
+            self.check(rec, "cauchy_davenport_traces", covered,
                        "trace sumsets did not cover the prime field", repro)
 
     # -- trace side -----------------------------------------------------------
@@ -423,9 +429,6 @@ class _PairAuditor:
     def _trace_checks(self, rec, p, m):
         repro = f"cyclosum trace --p {p} --m {m}"
         try:
-            ell = min_extension_degree(p, m)
-            if p**ell > self.size_cap:
-                return
             tp = trace_profile(p, m, self.size_cap)
         except SizeCapExceeded:
             return

@@ -190,7 +190,7 @@ def semigroup_tail(a: int, b: int) -> int:
     return (a - 1) * (b - 1)
 
 
-def closed_form_weight_set(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> WeightSet:
+def closed_form_weight_set(p: int, m: int) -> WeightSet:
     """The weight set as the numerical semigroup Np + Nl, valid exactly when
     m is a power of a prime l != p whose cyclotomic polynomial stays
     irreducible mod p.  Matches compute_weight_set field for field."""

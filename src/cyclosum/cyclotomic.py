@@ -112,13 +112,13 @@ def cyclotomic_cosets(p: int, m: int) -> list[CyclotomicCoset]:
 
 def _factor_in(table: FieldTable, m: int) -> FactorizationReport:
     p, k = table.p, table.k
-    step = table.order // m
+    roots = table.roots_of_unity(m)
     factors = []
     for coset in cyclotomic_cosets(p, m):
         # product of (X - z^j) over the coset, with index-form coefficients
         coeffs = [0]  # the constant one-element polynomial "1"
         for j in coset.members:
-            root = (step * j) % max(table.order, 1)
+            root = int(roots[j])
             shifted = [table.zero_index] + coeffs
             for i, c in enumerate(coeffs):
                 term = table.mul_index(root, c)
@@ -157,16 +157,6 @@ def min_extension_degree(p: int, m: int) -> int:
         raise PreconditionViolated(f"m must be >= 2, got {m}")
     _check_coprime(p, m)
     return min(multiplicative_order(p, q) for q in prime_factors(m))
-
-
-def _min_extension_degree_raw(p: int, m: int) -> int:
-    """Direct scan for the least e with gcd(p**e - 1, m) > 1; audit cross-check."""
-    pe = 1
-    for e in range(1, m + 1):
-        pe = (pe * p) % m
-        if math.gcd((pe - 1) % m, m) > 1:
-            return e
-    raise AssertionError("some power of p is 1 mod a prime divisor of m")
 
 
 def phi_m_irreducible_mod_p(p: int, m: int) -> bool:

@@ -78,12 +78,8 @@ def _verify_solution(inst: DiagonalInstance, values) -> None:
     table = inst.table
     if len(values) != inst.n or any(v.is_zero for v in values):
         raise InternalMismatch("solution has a zero coordinate or wrong arity")
-    acc = table.zero_index
     counts = Counter(table.pow_index(v.index, inst.e) for v in values)
-    for power_index, count in counts.items():
-        scalar = table.index_of_poly((count % table.p,))
-        acc = table.add_index(acc, table.mul_index(power_index, scalar))
-    if acc != table.zero_index:
+    if table.multiset_sum(counts) != table.zero_index:
         raise InternalMismatch("solution does not evaluate to zero")
 
 

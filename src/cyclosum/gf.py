@@ -13,8 +13,13 @@ coefficient tuples from the constant term up), and the generator is the
 primitive element with the least base-p integer encoding.
 
 Each field is built once per process into one registry, and what is derived
-from it (layer engines, weight sets, factorizations) hangs off its table;
-clear_fields() drops them all.
+from it (root groups, layer engines, weight sets, factorizations) hangs off
+its table; clear_fields() drops them all.
+
+The field owns the layout of its root groups: in roots_of_unity(m), the
+exponent j stands for the m-th root g**(j*(q-1)/m).  It also owns the one
+evaluator of sums c_1*g**i_1 + ... over it, multiset_sum, which both the
+certificate and the solution verifiers call.
 """
 
 from __future__ import annotations
@@ -366,27 +371,35 @@ class FieldTable:
     def one(self) -> "FieldElement":
         return FieldElement(self, 0)
 
-    def generator(self) -> "FieldElement":
-        return FieldElement(self, 0 if self.q == 2 else 1)
-
     def from_poly(self, coeffs) -> "FieldElement":
         return FieldElement(self, self.index_of_poly(coeffs))
 
-    def elements(self):
-        for i in range(self.q):
-            yield FieldElement(self, i)
+    # -- root groups and sums over them ---------------------------------------
 
-    def roots_of_unity(self, m: int) -> "RootGroup":
-        """The group of m-th roots of unity, as exponents plus a membership bitset."""
+    def roots_of_unity(self, m: int) -> np.ndarray:
+        """The m-th roots of unity as a read-only int64 array of indices:
+        entry j is the index j*(q-1)/m of the root g**(j*(q-1)/m).
+
+        Made once per m; every caller reads the same array.
+        """
         if m < 1 or self.order % m != 0:
             raise DoesNotDivide(f"{m} does not divide q-1 = {self.order}")
-        step = self.order // m
-        exponents = (np.arange(m, dtype=np.int64) * step) % max(self.order, 1)
-        mask = np.zeros(self.q, dtype=bool)
-        mask[exponents] = True
-        mask.flags.writeable = False
-        exponents.flags.writeable = False
-        return RootGroup(self, m, step, exponents, mask)
+
+        def make():
+            exponents = np.arange(m, dtype=np.int64) * (self.order // m)
+            exponents.flags.writeable = False
+            return exponents
+
+        return self.derived(("roots", m), make)
+
+    def multiset_sum(self, counts) -> int:
+        """Index of the sum of c * g**i over the items (i, c) of counts, the
+        count c standing for the residue c mod p of the prime subfield."""
+        acc = self.zero_index
+        for i, c in counts.items():
+            scalar = self.index_of_encoding(c % self.p)
+            acc = self.add_index(acc, self.mul_index(i, scalar))
+        return acc
 
 
 class FieldElement:
@@ -401,10 +414,6 @@ class FieldElement:
     @property
     def is_zero(self) -> bool:
         return self.index == self.table.zero_index
-
-    @property
-    def exponent(self):
-        return None if self.is_zero else self.index
 
     @property
     def poly(self) -> PrimePoly:
@@ -451,24 +460,6 @@ class FieldElement:
         return f"FieldElement(g^{self.index} = {self.poly})"
 
 
-@dataclass(frozen=True)
-class RootGroup:
-    """m-th roots of unity inside a field: exponent list and membership bitset."""
-
-    table: FieldTable
-    order: int
-    gen_exponent: int
-    exponents: np.ndarray
-    member_mask: np.ndarray
-
-    def contains_index(self, i: int) -> bool:
-        return bool(self.member_mask[i])
-
-    def elements(self):
-        for e in self.exponents:
-            yield FieldElement(self.table, int(e))
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -485,8 +476,6 @@ def _matpow_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
 def _find_generator(p: int, k: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive element with least base-p encoding, as a coefficient tuple."""
     q1 = p**k - 1
-    if q1 == 1:
-        return (1,)
     prime_divs = sorted(factorize(q1))
     for enc in range(1, p**k):
         coeffs = []
@@ -508,45 +497,38 @@ def _build_tables(p: int, k: int, modulus: tuple[int, ...]):
     for c in reversed(gen):
         gen_encoding = gen_encoding * p + c
 
-    if k == 1:
-        exp = np.empty(max(q1, 1), dtype=np.int64)
-        v = 1
-        for i in range(max(q1, 1)):
-            exp[i] = v
-            v = (v * gen_encoding) % p
-    else:
-        # Powers of g in blocks: inside a block multiply by g stepwise, then
-        # jump a whole block at once with the matrix of multiply-by-g**B.
-        a = np.zeros((k, k), dtype=np.int64)
-        for j in range(k):
-            col = _pmod(p, _pmul(p, gen, (0,) * j + (1,)), modulus)
-            for i, c in enumerate(col):
-                a[i, j] = c
-        block = min(1024, q1)
-        v = np.zeros((k, block), dtype=np.int64)
-        v[0, 0] = 1
-        for b in range(1, block):
-            v[:, b] = (a @ v[:, b - 1]) % p
-        jump = _matpow_mod(a, block, p)
-        weights = (p ** np.arange(k, dtype=np.int64)).astype(np.int64)
-        exp = np.empty(q1, dtype=np.int64)
-        pos = 0
-        while pos < q1:
-            width = min(block, q1 - pos)
-            exp[pos : pos + width] = weights @ v[:, :width]
-            pos += width
-            if pos < q1:
-                v = (jump @ v) % p
+    # Powers of g in blocks: inside a block multiply by g stepwise, then jump
+    # a whole block at once with the matrix of multiply-by-g**B (1x1 for k = 1).
+    a = np.zeros((k, k), dtype=np.int64)
+    for j in range(k):
+        col = _pmod(p, _pmul(p, gen, (0,) * j + (1,)), modulus)
+        for i, c in enumerate(col):
+            a[i, j] = c
+    block = min(1024, q1)
+    v = np.zeros((k, block), dtype=np.int64)
+    v[0, 0] = 1
+    for b in range(1, block):
+        v[:, b] = (a @ v[:, b - 1]) % p
+    jump = _matpow_mod(a, block, p)
+    weights = p ** np.arange(k, dtype=np.int64)
+    exp = np.empty(q1, dtype=np.int64)
+    pos = 0
+    while pos < q1:
+        width = min(block, q1 - pos)
+        exp[pos : pos + width] = weights @ v[:, :width]
+        pos += width
+        if pos < q1:
+            v = (jump @ v) % p
 
-    if len(np.unique(exp)) != max(q1, 1) or exp[0] != 1:
+    if len(np.unique(exp)) != q1 or exp[0] != 1:
         raise AssertionError("generator power table is not a bijection")
 
     log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(max(q1, 1), dtype=np.int64)
+    log[exp] = np.arange(q1, dtype=np.int64)
     c0 = exp % p
     enc_plus1 = exp - c0 + (c0 + 1) % p
     zech = np.where(enc_plus1 == 0, q1, log[enc_plus1]).astype(np.int64)
-    return gen_encoding, exp.astype(np.int64), log, zech
+    return gen_encoding, exp, log, zech
 
 
 # (p, k, modulus coeffs) -> table; (p, k, None) names the lex-least modulus

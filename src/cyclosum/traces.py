@@ -16,7 +16,6 @@ from .errors import (
     HypothesisFails,
     InternalMismatch,
     NotOddPrime,
-    SizeCapExceeded,
 )
 from .gf import DEFAULT_SIZE_CAP, build_field
 from .ntheory import is_prime, multiplicative_order
@@ -63,12 +62,9 @@ class QStar:
 def trace_profile(p: int, m: int, size_cap: int = DEFAULT_SIZE_CAP) -> TraceProfile:
     """Compute T = tr(H) two independent ways and check they agree."""
     ell = min_extension_degree(p, m)
-    if p**ell > size_cap:
-        raise SizeCapExceeded(f"p**ell = {p}^{ell} exceeds the size cap {size_cap}")
-    m_prime = math.gcd(p**ell - 1, m)
     table = build_field(p, ell, size_cap=size_cap)
-    roots = table.roots_of_unity(m_prime)
-    direct = {table.trace_index(int(e)) for e in roots.exponents}
+    m_prime = math.gcd(table.order, m)
+    direct = {table.trace_index(int(e)) for e in table.roots_of_unity(m_prime)}
 
     report = factor_xm_minus_1(p, m_prime, size_cap)
     if report.splitting_degree != ell:

@@ -16,6 +16,9 @@ the exploration bound reaches.
 Each field of the gf registry holds one layer engine and one weight set per
 m, so compute_weight_set, field_weight_set and minimal_vanishing_sums read
 the same layers; a WeightSet carries them as its `field` and `layers`.
+Roots and the sums over them come from the field: an engine's exponents
+are the field's roots_of_unity array, a certificate exponent j indexes it,
+and verification re-evaluates through the field's multiset_sum.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class LayerEngine:
         self.table = table
         self.m = m
         self.d = table.order // m
-        self.exponents = (np.arange(m, dtype=np.int64) * self.d)
+        self.exponents = table.roots_of_unity(m)
         # coset whose elements are negatives of group members; adding the
         # matching root to such an element is the only way to reach zero
         self.zero_feed_coset = table.neg_one_exp % self.d
@@ -119,13 +122,14 @@ class LayerEngine:
         top = self._stored(n)
         table = self.table
         zero_index, d = table.zero_index, self.d
+        roots = memoryview(self.exponents)  # reads give Python ints, unlike numpy scalars
         exps: list[int] = []
         target = zero_index
         for level in range(n, 0, -1):
             below = min(level - 1, top)
             layer, has_zero = self.masks[below], self.zeros[below]
             for e in range(self.m):
-                rest = table.sub_index(target, e * d)
+                rest = table.sub_index(target, roots[e])
                 if rest == zero_index:
                     ok = has_zero
                 else:
@@ -288,14 +292,9 @@ def certificate_exponents(ws: WeightSet, n: int) -> tuple[int, ...]:
 
 
 def _verify_vanishing(table: FieldTable, m: int, exponents) -> None:
-    step = table.order // m
-    acc = table.zero_index
-    for e, count in Counter(exponents).items():
-        count %= table.p
-        root = (step * e) % max(table.order, 1)
-        scalar = table.index_of_poly((count,))
-        acc = table.add_index(acc, table.mul_index(root, scalar))
-    if acc != table.zero_index:
+    roots = table.roots_of_unity(m)
+    counts = {int(roots[e]): c for e, c in Counter(exponents).items()}
+    if table.multiset_sum(counts) != table.zero_index:
         raise InternalMismatch("certificate does not re-evaluate to zero")
 
 

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
+from cyclosum.audit import _min_extension_degree_raw
 from cyclosum.cyclotomic import (
-    _min_extension_degree_raw,
     cyclotomic_cosets,
     factor_xm_minus_1,
     min_extension_degree,

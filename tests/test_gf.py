@@ -12,7 +12,15 @@ from cyclosum.errors import (
     OverrideNotIrreducible,
     SizeCapExceeded,
 )
-from cyclosum.gf import PrimePoly, build_field, is_irreducible, lex_least_irreducible
+from cyclosum.gf import (
+    PrimePoly,
+    _build_tables,
+    build_field,
+    is_irreducible,
+    lex_least_irreducible,
+)
+from cyclosum.ntheory import primes_up_to
+from cyclosum.weights import field_weight_set
 
 SMALL_FIELDS = [(2, 1), (3, 1), (11, 1), (2, 4), (3, 2), (5, 3), (2, 9), (3, 5), (11, 2)]
 
@@ -167,11 +175,48 @@ def test_trace_of_one_is_degree(field):
 def test_roots_of_unity_exhaustive(field):
     q1 = field.order
     for m in [d for d in range(1, q1 + 1) if q1 % d == 0]:
-        group = field.roots_of_unity(m)
-        assert len(group.exponents) == m
-        for i in range(field.q):
-            expected = i != field.zero_index and field.pow_index(i, m) == 0
-            assert group.contains_index(i) == expected
+        roots = field.roots_of_unity(m)
+        assert len(roots) == m and roots.dtype == np.int64
+        expected = {
+            i for i in range(field.q)
+            if i != field.zero_index and field.pow_index(i, m) == 0
+        }
+        assert set(roots.tolist()) == expected
+
+
+def test_roots_of_unity_are_the_fields_one_array():
+    F = build_field(3, 4)
+    roots = F.roots_of_unity(16)
+    assert roots is F.roots_of_unity(16)
+    assert not roots.flags.writeable
+    assert field_weight_set(F, 16).layers.exponents is roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_multiset_sum_matches_repeated_addition(data):
+    p, k = data.draw(st.sampled_from(SMALL_FIELDS))
+    F = build_field(p, k)
+    counts = data.draw(st.dictionaries(
+        st.integers(min_value=0, max_value=F.q - 1),
+        st.integers(min_value=0, max_value=3 * p),
+        max_size=6,
+    ))
+    naive = F.zero()
+    for i, c in counts.items():
+        for _ in range(c):
+            naive = naive + F.element(i)
+    assert F.multiset_sum(counts) == naive.index
+
+
+@pytest.mark.parametrize("constant", [0, 1], ids=["X", "X+1"])
+def test_prime_field_powers_match_scalar_rule(constant):
+    for p in primes_up_to(2999):
+        gen_encoding, exp, _, _ = _build_tables(p, 1, (constant % p, 1))
+        expected = [1]
+        for _ in range(p - 2):
+            expected.append(expected[-1] * gen_encoding % p)
+        assert exp.tolist() == expected, p
 
 
 def test_roots_of_unity_requires_divisor():
@@ -182,20 +227,18 @@ def test_roots_of_unity_requires_divisor():
 
 def test_fifth_roots_mod_11():
     F = build_field(11)
-    group = F.roots_of_unity(5)
-    values = {F.encoding_of_index(int(e)) for e in group.exponents}
+    values = {F.encoding_of_index(int(e)) for e in F.roots_of_unity(5)}
     assert values == {1, 3, 9, 5, 4}
 
 
 def test_third_roots_mod_31():
     F = build_field(31)
-    values = {F.encoding_of_index(int(e)) for e in F.roots_of_unity(3).exponents}
+    values = {F.encoding_of_index(int(e)) for e in F.roots_of_unity(3)}
     assert values == {1, 5, 25}
 
 
 def test_trivial_roots(field):
-    group = field.roots_of_unity(1)
-    assert [int(e) for e in group.exponents] == [0]
+    assert field.roots_of_unity(1).tolist() == [0]
 
 
 def test_json_roundtrip_description(field):

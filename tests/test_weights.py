@@ -188,7 +188,7 @@ def _naive_membership(p, k, m, upto):
     def pad(t):
         return tuple(t) + (0,) * (k - len(t))
 
-    roots = [pad(F.poly_of_index(int(e)).coeffs) for e in F.roots_of_unity(m).exponents]
+    roots = [pad(F.poly_of_index(int(e)).coeffs) for e in F.roots_of_unity(m)]
     zero = (0,) * k
     layer = {zero}
     out = [True]
