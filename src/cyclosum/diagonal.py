@@ -5,6 +5,11 @@ m = (q-1)/d, so a solution with every coordinate nonzero is exactly a
 vanishing sum of m-th roots of weight n.  Solutions are produced from
 weight-set certificates computed on the instance's own field, never by
 random search, so output is deterministic.
+
+A certificate arrives as exponent -> count, and a solution keeps it as
+(coordinate, multiplicity) pairs: each distinct coordinate is mapped,
+checked nonzero and re-evaluated once, and the arity is the sum of the
+counts.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InternalMismatch, NotPrime, PreconditionViolated
 from .gf import DEFAULT_SIZE_CAP, FieldElement, FieldTable, build_field
 from .ntheory import factorize
-from .weights import WeightSet, certificate_exponents, field_weight_set
+from .weights import WeightSet, certificate_counts, field_weight_set
 
 
 @dataclass(frozen=True)
@@ -32,11 +38,17 @@ class DiagonalInstance:
 
 @dataclass(frozen=True)
 class GoodSolution:
-    """A verified solution with every coordinate nonzero."""
+    """A verified solution with every coordinate nonzero.
+
+    counts holds (coordinate exponent, multiplicity) pairs in certificate
+    order; values and exponents expand them in that order, and values
+    repeats one FieldElement per distinct coordinate.
+    """
 
     values: tuple[FieldElement, ...]
     exponents: tuple[int, ...]
     d: int
+    counts: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -74,12 +86,14 @@ def diagonal_instance(
     return DiagonalInstance(table=table, e=e, d=d, m=m, n=n)
 
 
-def _verify_solution(inst: DiagonalInstance, values) -> None:
+def _verify_solution(inst: DiagonalInstance, counts) -> None:
     table = inst.table
-    if len(values) != inst.n or any(v.is_zero for v in values):
+    if sum(k for _, k in counts) != inst.n or any(x == table.zero_index for x, _ in counts):
         raise InternalMismatch("solution has a zero coordinate or wrong arity")
-    counts = Counter(table.pow_index(v.index, inst.e) for v in values)
-    if table.multiset_sum(counts) != table.zero_index:
+    powers: Counter = Counter()
+    for x, k in counts:
+        powers[table.pow_index(x, inst.e)] += k
+    if table.multiset_sum(powers) != table.zero_index:
         raise InternalMismatch("solution does not evaluate to zero")
 
 
@@ -87,23 +101,22 @@ def solve_good(inst: DiagonalInstance) -> GoodSolution | NoSolution:
     """Solve for an all-nonzero solution, or prove there is none.
 
     Decides membership of n in the exact weight set of the field's root
-    group; on success each certificate exponent c_i, standing for the root
-    g**(d*c_i), turns into the coordinate x_i = g**(c_i*u mod m), where
-    e = d*t and u is the inverse of t mod m.  Then x_i^e = g**(d*c_i).
+    group; on success each distinct certificate exponent c, standing for
+    the root g**(d*c), turns into the coordinate x = g**(c*u mod m), where
+    e = d*t and u is the inverse of t mod m.  Then x^e = g**(d*c).  The
+    solution is verified on its counts, one distinct coordinate at a time.
     """
     ws = field_weight_set(inst.table, inst.m)
     if not ws.contains(inst.n):
         return NoSolution(n=inst.n, weight_set=ws)
-    certificate = certificate_exponents(ws, inst.n)
     # gcd(t, m) = 1 because d = gcd(q-1, e) takes every common factor
     u = pow(inst.e // inst.d, -1, inst.m)
-    # padding makes most exponents 0, so map each distinct one once
-    coordinate = {c: c * u % inst.m for c in set(certificate)}
-    exponents = tuple(map(coordinate.__getitem__, certificate))
-    values = tuple(FieldElement(inst.table, c) for c in exponents)
-    solution = GoodSolution(values=values, exponents=exponents, d=inst.d)
-    _verify_solution(inst, values)
-    return solution
+    counts = tuple((c * u % inst.m, k) for c, k in certificate_counts(ws, inst.n).items())
+    _verify_solution(inst, counts)
+    table = inst.table
+    values = tuple(chain.from_iterable((FieldElement(table, x),) * k for x, k in counts))
+    exponents = tuple(chain.from_iterable((x,) * k for x, k in counts))
+    return GoodSolution(values=values, exponents=exponents, d=inst.d, counts=counts)
 
 
 def witt_quadratic_check(

@@ -520,11 +520,13 @@ def _build_tables(p: int, k: int, modulus: tuple[int, ...]):
         if pos < q1:
             v = (jump @ v) % p
 
-    if len(np.unique(exp)) != q1 or exp[0] != 1:
-        raise AssertionError("generator power table is not a bijection")
-
     log = np.zeros(q, dtype=np.int64)
-    log[exp] = np.arange(q1, dtype=np.int64)
+    powers = np.arange(q1, dtype=np.int64)
+    log[exp] = powers
+    # a repeated power overwrites an earlier log entry, so this also
+    # catches a table that is not injective; zero is no power of g
+    if exp[0] != 1 or not exp.all() or not (log[exp] == powers).all():
+        raise AssertionError("generator power table is not a bijection")
     c0 = exp % p
     enc_plus1 = exp - c0 + (c0 + 1) % p
     zech = np.where(enc_plus1 == 0, q1, log[enc_plus1]).astype(np.int64)

@@ -13,6 +13,13 @@ saturation, the first layer holding zero and every coset: every later
 layer equals it, so memory is O(s*d) for saturation layer s, however far
 the exploration bound reaches.
 
+A certificate is exponent -> count.  Every level above saturation picks
+exponent 0, so those levels are counted in one step and only the stored
+levels are backtracked; the last of them (layer 0 holds only zero) is one
+division.  Weights past the exploration bound first drop blocks of p
+copies of exponent 0, which sum to zero, so layers are never grown for
+them.
+
 Each field of the gf registry holds one layer engine and one weight set per
 m, so compute_weight_set, field_weight_set and minimal_vanishing_sums read
 the same layers; a WeightSet carries them as its `field` and `layers`.
@@ -28,6 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -113,21 +121,26 @@ class LayerEngine:
     def mask(self, n: int) -> np.ndarray:
         return self.masks[self._stored(n)]
 
-    def extract(self, n: int) -> list[int]:
-        """Exponents e_i with sum of roots g**(d*e_i) equal to zero, n of them.
+    def extract(self, n: int) -> Counter:
+        """Counts of root exponents e, n roots g**(d*e) in all, summing to zero.
 
         Backtracks from layer n toward layer 0, preferring the least root
-        exponent at each step.
+        exponent at each step.  Levels above the top stored layer pick
+        exponent 0, since the saturated layer below holds everything, so
+        they are counted at once and the backtrack starts from the residue
+        they leave.  Layer 0 holds only zero, so the level-1 root equals
+        the remaining target and its exponent is one division.
         """
         top = self._stored(n)
         table = self.table
         zero_index, d = table.zero_index, self.d
         roots = memoryview(self.exponents)  # reads give Python ints, unlike numpy scalars
-        exps: list[int] = []
-        target = zero_index
-        for level in range(n, 0, -1):
-            below = min(level - 1, top)
-            layer, has_zero = self.masks[below], self.zeros[below]
+        counts: Counter = Counter()
+        if n > top:
+            counts[0] = n - top
+        target = table.index_of_encoding((top - n) % table.p)
+        for level in range(top, 1, -1):
+            layer, has_zero = self.masks[level - 1], self.zeros[level - 1]
             for e in range(self.m):
                 rest = table.sub_index(target, roots[e])
                 if rest == zero_index:
@@ -135,12 +148,16 @@ class LayerEngine:
                 else:
                     ok = layer[rest % d]
                 if ok:
-                    exps.append(e)
+                    counts[e] += 1
                     target = rest
                     break
             else:  # pragma: no cover - membership guaranteed by caller
                 raise InternalMismatch("backtracking lost a stored layer")
-        return exps
+        if top:
+            if target == zero_index or target % d:
+                raise InternalMismatch("the last level's target is not a root")
+            counts[target // d] += 1
+        return counts
 
 
 @dataclass(frozen=True)
@@ -274,37 +291,48 @@ def field_weight_set(table: FieldTable, m: int) -> WeightSet:
     return _weight_set_in(table, m, m)
 
 
-def certificate_exponents(ws: WeightSet, n: int) -> tuple[int, ...]:
-    """n exponents e_i, sorted, with the roots g**(d*e_i) of ws.field summing
-    to zero, where g is the field's generator and d = (q-1)/m'."""
+def certificate_counts(ws: WeightSet, n: int) -> dict[int, int]:
+    """Exponent -> count, in ascending exponent order, of n exponents e_i
+    with the roots g**(d*e_i) of ws.field summing to zero, where g is the
+    field's generator and d = (q-1)/m'."""
     if not ws.contains(n):
         raise NotAMember(f"{n} is not in the weight set of (p={ws.p}, m={ws.m})")
     if ws.m_prime == 1:
-        return (0,) * n
+        return {0: n} if n else {}
     if ws.layers is None:
         raise PreconditionViolated("this weight set carries no stored layers")
     padding = 0
     if n >= ws.bound:
         # peel copies of p * 1 = 0 until the stored layers cover the rest
         padding = ws.p * ((n - ws.bound) // ws.p + 1)
-        n -= padding
-    return tuple(sorted(ws.layers.extract(n) + [0] * padding))
+    counts = ws.layers.extract(n - padding)
+    if padding:
+        counts[0] += padding
+    return dict(sorted(counts.items()))
 
 
-def _verify_vanishing(table: FieldTable, m: int, exponents) -> None:
+def _expanded(counts: dict[int, int]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(repeat(e, c) for e, c in counts.items()))
+
+
+def certificate_exponents(ws: WeightSet, n: int) -> tuple[int, ...]:
+    """The exponents of certificate_counts(ws, n), sorted, one per root."""
+    return _expanded(certificate_counts(ws, n))
+
+
+def _verify_vanishing(table: FieldTable, m: int, counts) -> None:
     roots = table.roots_of_unity(m)
-    counts = {int(roots[e]): c for e, c in Counter(exponents).items()}
-    if table.multiset_sum(counts) != table.zero_index:
+    if table.multiset_sum({int(roots[e]): c for e, c in counts.items()}) != table.zero_index:
         raise InternalMismatch("certificate does not re-evaluate to zero")
 
 
 def certificate(p: int, m: int, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Certificate:
     """A verified vanishing sum of weight n, extracted from stored layers."""
     ws = compute_weight_set(p, m, size_cap)
-    exps = certificate_exponents(ws, n)
+    counts = certificate_counts(ws, n)
     if ws.m_prime > 1:
-        _verify_vanishing(ws.field, ws.m_prime, exps)
-    return Certificate(p=p, m=m, n=n, exponents=exps)
+        _verify_vanishing(ws.field, ws.m_prime, counts)
+    return Certificate(p=p, m=m, n=n, exponents=_expanded(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +400,5 @@ def minimal_vanishing_sums(
         x0 = int(exps[0])
         descend(0, (0,), x0, {x0}, {zero})
     for result in found:
-        _verify_vanishing(table, m_prime, result)
+        _verify_vanishing(table, m_prime, Counter(result))
     return sorted(found)
