@@ -103,8 +103,7 @@ def solve_good(inst: DiagonalInstance) -> GoodSolution | NoSolution:
     Decides membership of n in the exact weight set of the field's root
     group; on success each distinct certificate exponent c, standing for
     the root g**(d*c), turns into the coordinate x = g**(c*u mod m), where
-    e = d*t and u is the inverse of t mod m.  Then x^e = g**(d*c).  The
-    solution is verified on its counts, one distinct coordinate at a time.
+    e = d*t and u is the inverse of t mod m.  Then x^e = g**(d*c).
     """
     ws = field_weight_set(inst.table, inst.m)
     if not ws.contains(inst.n):

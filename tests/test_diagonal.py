@@ -5,13 +5,15 @@ import pytest
 from cyclosum.diagonal import (
     GoodSolution,
     NoSolution,
+    _verify_solution,
     diagonal_instance,
     reduce_exponent,
     solve_good,
     witt_quadratic_check,
 )
-from cyclosum.errors import NotPrime, PreconditionViolated
+from cyclosum.errors import InternalMismatch, NotPrime, PreconditionViolated
 from cyclosum.gf import build_field
+from cyclosum.weights import certificate_counts, field_weight_set
 
 
 @pytest.mark.parametrize("q,e,expected", [
@@ -27,6 +29,11 @@ def test_reduce_exponent(q, e, expected):
 def _assert_good(inst, result):
     assert isinstance(result, GoodSolution)
     assert len(result.values) == inst.n
+    assert sum(k for _, k in result.counts) == inst.n
+    assert result.exponents == tuple(v.index for v in result.values)
+    assert result.exponents == tuple(x for x, k in result.counts for _ in range(k))
+    # one element per distinct coordinate, repeated
+    assert len({id(v) for v in result.values}) == len(result.counts)
     total = inst.table.zero()
     for v in result.values:
         assert not v.is_zero
@@ -90,9 +97,31 @@ def test_solutions_vanish_for_every_degree(q):
             result = solve_good(inst)
             if isinstance(result, GoodSolution):
                 _assert_good(inst, result)
-                assert result.exponents == tuple(v.index for v in result.values)
                 solved += 1
     assert solved > 0
+
+
+def test_verifier_rejects_bad_counts():
+    inst = diagonal_instance(11, 2, 3)
+    good = solve_good(inst).counts
+    _verify_solution(inst, good)
+    bad = [
+        ((0, 3),),                        # 1 + 1 + 1 is not zero
+        ((0, 2),),                        # two coordinates, not three
+        ((inst.table.zero_index, 3),),    # zero coordinates
+    ]
+    for counts in bad:
+        with pytest.raises(InternalMismatch):
+            _verify_solution(inst, counts)
+
+
+def test_far_tail_certificate_is_counted_not_listed():
+    ws = field_weight_set(build_field(7), 3)
+    n = 10**7
+    counts = certificate_counts(ws, n)
+    assert sum(counts.values()) == n
+    assert counts[0] >= n - ws.layers.saturation
+    assert len(counts) <= ws.layers.saturation + 1
 
 
 def test_rejects_non_prime_power():

@@ -12,6 +12,7 @@ from cyclosum.errors import (
     OverrideNotIrreducible,
     SizeCapExceeded,
 )
+from cyclosum import gf
 from cyclosum.gf import (
     PrimePoly,
     _build_tables,
@@ -217,6 +218,14 @@ def test_prime_field_powers_match_scalar_rule(constant):
         for _ in range(p - 2):
             expected.append(expected[-1] * gen_encoding % p)
         assert exp.tolist() == expected, p
+
+
+@pytest.mark.parametrize("fake", [(2,), (0,)], ids=["order-3", "zero"])
+def test_power_table_rejects_a_non_generator(monkeypatch, fake):
+    # mod 7, the powers of 2 repeat after three steps and those of 0 are 0
+    monkeypatch.setattr(gf, "_find_generator", lambda p, k, modulus: fake)
+    with pytest.raises(AssertionError, match="not a bijection"):
+        _build_tables(7, 1, (0, 1))
 
 
 def test_roots_of_unity_requires_divisor():

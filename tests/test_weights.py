@@ -10,6 +10,8 @@ from cyclosum.gf import build_field
 from cyclosum.weights import (
     Certificate,
     certificate,
+    certificate_counts,
+    certificate_exponents,
     compute_weight_set,
     field_weight_set,
     membership,
@@ -121,6 +123,72 @@ def test_certificate_rejects_non_members():
         certificate(2, 5, 3)
     with pytest.raises(NotAMember):
         certificate(7, 1, 8)
+
+
+def _reference_certificate(ws, n):
+    """The plain backtrack: every level tries the m roots in order, down to
+    level 1, after weights past the bound drop blocks of p zeros."""
+    if ws.m_prime == 1:
+        return Counter({0: n})
+    engine, table = ws.layers, ws.field
+    padding = 0
+    if n >= ws.bound:
+        padding = ws.p * ((n - ws.bound) // ws.p + 1)
+    levels = n - padding
+    engine.grow_to(levels)
+    top = len(engine.masks) - 1
+    exps = [0] * padding
+    target = table.zero_index
+    for level in range(levels, 0, -1):
+        below = min(level - 1, top)
+        for e, root in enumerate(engine.exponents):
+            rest = table.sub_index(target, int(root))
+            if rest == table.zero_index:
+                ok = engine.zeros[below]
+            else:
+                ok = engine.masks[below][rest % engine.d]
+            if ok:
+                exps.append(e)
+                target = rest
+                break
+        else:
+            raise AssertionError(f"no root fits at level {level}")
+    return Counter(exps)
+
+
+# every prime power q <= 2^10 with p <= 13: larger p make the plain
+# backtrack quadratic in bounds of several hundred
+SMALL_FIELDS = [(2, k) for k in range(1, 11)] + [(3, k) for k in range(1, 7)] + [
+    (5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 1), (11, 2), (13, 1), (13, 2),
+]
+
+
+def test_certificates_match_the_plain_backtrack():
+    seen = Counter()
+    for p, k in SMALL_FIELDS:
+        table = build_field(p, k)
+        for m in range(1, table.order + 1):
+            if table.order % m:
+                continue
+            ws = field_weight_set(table, m)
+            saturation = ws.layers.saturation if ws.layers is not None else None
+            for n in range(1, 3 * ws.bound):
+                if not ws.contains(n):
+                    with pytest.raises(NotAMember):
+                        certificate_counts(ws, n)
+                    seen["non-member"] += 1
+                    continue
+                counts = certificate_counts(ws, n)
+                assert list(counts) == sorted(counts) and all(counts.values())
+                assert Counter(counts) == _reference_certificate(ws, n), (p, k, m, n)
+                assert Counter(certificate_exponents(ws, n)) == Counter(counts)
+                if saturation is not None and n > saturation:
+                    seen["peeled"] += 1
+                if ws.layers is not None and saturation is None and n >= ws.bound:
+                    seen["padded"] += 1
+    # n = 1 is never a member: one root is never zero
+    assert seen["non-member"] and seen["peeled"] and seen["padded"]
+    assert not any(field_weight_set(build_field(p, k), 1).contains(1) for p, k in SMALL_FIELDS)
 
 
 def test_layers_grow_monotonically_mod_p():
